@@ -98,13 +98,16 @@ read-bench:
 	$(GO) test -run NONE -bench 'ReadPoint|ReadRange|ReadEstimate|RoutingBuild|QuantizerKey|ServeReadsDuringWrites|ServePointQuery|ServeRangeQuery' -benchmem -count=3 ./internal/query/ ./internal/sfc/ ./internal/serve/ 2>&1 | tee read_bench_output.txt
 	$(GO) run ./cmd/benchjson -in read_bench_output.txt -merge $(BENCH) -o $(BENCH)
 
-# Short fuzz passes over the dataset codecs and the WAL record decoder.
+# Short fuzz passes over the dataset codecs, the WAL record decoder,
+# the routing and shard lookups, and the Lemma-1 audit against its
+# string-keyed oracle.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzReadBinary -fuzztime=30s ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/wal/
 	$(GO) test -run=NONE -fuzz=FuzzLookupVsLinear -fuzztime=30s ./internal/routing/
 	$(GO) test -run=NONE -fuzz=FuzzShardRouting -fuzztime=30s ./internal/shard/
+	$(GO) test -run=NONE -fuzz=FuzzReleases -fuzztime=30s ./internal/verify/
 
 # Full figure + ablation benchmark sweep, 3 runs per benchmark for
 # variance. The raw log lands in bench_output.txt; the parsed baseline

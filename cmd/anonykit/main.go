@@ -31,6 +31,7 @@ import (
 	"spatialanon/internal/quality"
 	"spatialanon/internal/rplustree"
 	"spatialanon/internal/sfc"
+	"spatialanon/internal/verify"
 )
 
 func main() {
@@ -253,7 +254,7 @@ func multiGranular(rt *core.RTreeAnonymizer, schema *attr.Schema, recs []attr.Re
 		}
 	}
 	base := rt.Constraint().MinSize()
-	if err := core.VerifyCollusionSafety(sets, base); err != nil {
+	if err := verify.Releases(sets, base); err != nil {
 		return fmt.Errorf("release set failed the collusion check: %w", err)
 	}
 	if !quiet {

@@ -92,9 +92,6 @@ func TestEndToEndLifecycle(t *testing.T) {
 			t.Fatalf("granularity %d: %v", rel.Granularity, err)
 		}
 	}
-	if err := core.VerifyCollusionSafety(sets, k); err != nil {
-		t.Fatal(err)
-	}
 	if err := verify.Releases(sets, k); err != nil {
 		t.Fatal(err)
 	}

@@ -13,15 +13,12 @@
 //     behind the same Anonymizer interface, so the experiment harness
 //     and the CLI treat every algorithm uniformly.
 //   - LeafScan — the Figure 5 algorithm as a standalone function.
-//   - VerifyCollusionSafety — the Definition 2 / Lemma 1 k-bound check
-//     over a set of multi-granular releases.
 //   - Render / WriteCSV — materialization of an anonymized table, with
 //     hierarchy-aware categorical generalization ("*" at the root).
 package core
 
 import (
 	"fmt"
-	"sort"
 
 	"spatialanon/internal/anonmodel"
 	"spatialanon/internal/attr"
@@ -171,70 +168,6 @@ func leafScanSerial(base []anonmodel.Partition, constraint anonmodel.Constraint)
 		}
 	}
 	return out, nil
-}
-
-// VerifyCollusionSafety checks that a set of releases of the SAME table
-// jointly preserves k-anonymity: an adversary holding every release can
-// narrow a record's candidates only to the intersection of its
-// partitions across releases, so every such intersection cell must hold
-// at least k records. This is the operational form of Definition 2 /
-// Lemma 1: releases generated hierarchically or by leaf scan over one
-// index pass (each cell then contains a whole base partition), while
-// independently re-anonymized releases generally fail.
-func VerifyCollusionSafety(releases [][]anonmodel.Partition, k int) error {
-	if len(releases) == 0 {
-		return nil
-	}
-	// cell key: the tuple of partition indices a record occupies.
-	type cellKey string
-	assign := make(map[int64][]int) // record ID -> partition index per release
-	for ri, rel := range releases {
-		for pi, p := range rel {
-			for _, r := range p.Records {
-				ids, ok := assign[r.ID]
-				if !ok {
-					ids = make([]int, len(releases))
-					for i := range ids {
-						ids[i] = -1
-					}
-					assign[r.ID] = ids
-				}
-				if ids[ri] != -1 {
-					return fmt.Errorf("core: record %d appears in two partitions of release %d", r.ID, ri)
-				}
-				ids[ri] = pi
-			}
-		}
-	}
-	// Walk records in ID order so the error witness — which record or
-	// cell is reported first — is deterministic rather than whatever
-	// the map iteration happened to visit.
-	recIDs := make([]int64, 0, len(assign))
-	for id := range assign {
-		recIDs = append(recIDs, id)
-	}
-	sort.Slice(recIDs, func(a, b int) bool { return recIDs[a] < recIDs[b] })
-	cells := make(map[cellKey]int)
-	cellOrder := make([]cellKey, 0)
-	for _, id := range recIDs {
-		ids := assign[id]
-		for ri, pi := range ids {
-			if pi == -1 {
-				return fmt.Errorf("core: record %d missing from release %d", id, ri)
-			}
-		}
-		key := cellKey(fmt.Sprint(ids))
-		if _, seen := cells[key]; !seen {
-			cellOrder = append(cellOrder, key)
-		}
-		cells[key]++
-	}
-	for _, key := range cellOrder {
-		if n := cells[key]; n < k {
-			return fmt.Errorf("core: intersection cell %s holds %d records < k=%d — collusion breaks k-anonymity", key, n, k)
-		}
-	}
-	return nil
 }
 
 // Release is one anonymized table of a multi-granular set.

@@ -75,46 +75,6 @@ func TestLeafScanErrors(t *testing.T) {
 	}
 }
 
-func TestVerifyCollusionSafety(t *testing.T) {
-	mk := func(groups ...[]int64) []anonmodel.Partition {
-		var ps []anonmodel.Partition
-		for _, g := range groups {
-			var recs []attr.Record
-			for _, id := range g {
-				recs = append(recs, attr.Record{ID: id, QI: []float64{float64(id)}})
-			}
-			ps = append(ps, anonmodel.Partition{Box: attr.Box{{Lo: 0, Hi: 100}}, Records: recs})
-		}
-		return ps
-	}
-	// Safe: coarse release groups whole fine partitions.
-	fine := mk([]int64{1, 2}, []int64{3, 4}, []int64{5, 6}, []int64{7, 8})
-	coarse := mk([]int64{1, 2, 3, 4}, []int64{5, 6, 7, 8})
-	if err := VerifyCollusionSafety([][]anonmodel.Partition{fine, coarse}, 2); err != nil {
-		t.Fatalf("safe releases rejected: %v", err)
-	}
-	// Unsafe: the second release cuts across the first's groups, so the
-	// intersection isolates single records.
-	crossed := mk([]int64{2, 3}, []int64{4, 5}, []int64{6, 7}, []int64{8, 1})
-	if err := VerifyCollusionSafety([][]anonmodel.Partition{fine, crossed}, 2); err == nil {
-		t.Fatal("crossing releases accepted")
-	}
-	// Degenerate inputs.
-	if err := VerifyCollusionSafety(nil, 5); err != nil {
-		t.Fatal("no releases must be trivially safe")
-	}
-	// A record missing from one release is an inconsistency.
-	short := mk([]int64{1, 2, 3, 4}, []int64{5, 6, 7})
-	if err := VerifyCollusionSafety([][]anonmodel.Partition{fine, short}, 2); err == nil {
-		t.Fatal("release missing a record accepted")
-	}
-	// A record duplicated within one release is an inconsistency.
-	dup := mk([]int64{1, 2, 3, 4}, []int64{4, 5, 6, 7, 8})
-	if err := VerifyCollusionSafety([][]anonmodel.Partition{dup}, 2); err == nil {
-		t.Fatal("duplicated record accepted")
-	}
-}
-
 func TestAnonymizerInterfaces(t *testing.T) {
 	recs := dataset.GeneratePatients(400, 90)
 	s := dataset.PatientsSchema()

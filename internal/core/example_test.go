@@ -65,28 +65,6 @@ func ExampleLeafScan() {
 	// 6 records in ([20 - 56])
 }
 
-// Releases derived from one index are jointly collusion-safe: the
-// verifier checks that correlating them never isolates fewer than k
-// records.
-func ExampleVerifyCollusionSafety() {
-	rt, _ := core.NewRTreeAnonymizer(core.RTreeConfig{
-		Schema: dataset.PatientsSchema(),
-		BaseK:  5,
-	})
-	if err := rt.Load(dataset.GeneratePatients(500, 1)); err != nil {
-		panic(err)
-	}
-	releases, err := rt.MultiGranular([]int{5, 25})
-	if err != nil {
-		panic(err)
-	}
-	err = core.VerifyCollusionSafety(
-		[][]anonmodel.Partition{releases[0].Partitions, releases[1].Partitions}, 5)
-	fmt.Println("safe:", err == nil)
-	// Output:
-	// safe: true
-}
-
 // WriteCSV renders generalized values the way the paper's Figure 1(b)
 // prints them: ranges for numeric attributes, hierarchy labels (with
 // "*" at the root) for categorical ones.

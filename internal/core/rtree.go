@@ -261,7 +261,7 @@ func (a *RTreeAnonymizer) HierarchicalRelease(level int) ([]anonmodel.Partition,
 // MultiGranular derives one release per requested granularity via leaf
 // scan over the same index. The releases are jointly collusion-safe
 // (Lemma 1) because every partition of every release is a union of
-// whole leaves; VerifyCollusionSafety confirms it.
+// whole leaves; verify.Releases confirms it.
 func (a *RTreeAnonymizer) MultiGranular(ks []int) ([]Release, error) {
 	out := make([]Release, 0, len(ks))
 	for _, k := range ks {

@@ -8,6 +8,7 @@ import (
 	"spatialanon/internal/dataset"
 	"spatialanon/internal/quality"
 	"spatialanon/internal/rplustree"
+	"spatialanon/internal/verify"
 )
 
 func newPatientRT(t *testing.T, k int, bulk bool) *RTreeAnonymizer {
@@ -97,7 +98,7 @@ func TestRTreeMultiGranularCollusionSafe(t *testing.T) {
 			t.Fatalf("granularity %d: %v", r.Granularity, err)
 		}
 	}
-	if err := VerifyCollusionSafety(sets, 5); err != nil {
+	if err := verify.Releases(sets, 5); err != nil {
 		t.Fatalf("multi-granular releases not collusion-safe: %v", err)
 	}
 }
@@ -129,7 +130,7 @@ func TestRTreeHierarchicalReleases(t *testing.T) {
 	// Releases across levels must be jointly safe at the base k... the
 	// guarantee only extends to records in leaves holding >= k records,
 	// which median splits deliver; verify at k=4.
-	if err := VerifyCollusionSafety(sets, 4); err != nil {
+	if err := verify.Releases(sets, 4); err != nil {
 		t.Fatalf("hierarchical releases not collusion-safe: %v", err)
 	}
 	if _, err := a.HierarchicalRelease(99); err == nil {

@@ -34,8 +34,9 @@ import (
 
 // Deterministic is the set of packages under the byte-equality
 // contract — the anonymization algorithms, their indexes, the
-// evaluation metrics, the data generators and the seeded-randomness
-// provider itself. The multichecker scopes the analyzer with it.
+// evaluation metrics, the data generators, the seeded-randomness
+// provider itself and the independent auditor, whose error witnesses
+// must not depend on map order. The multichecker scopes the analyzer with it.
 var Deterministic = map[string]bool{
 	"spatialanon/internal/core":      true,
 	"spatialanon/internal/rplustree": true,
@@ -56,6 +57,7 @@ var Deterministic = map[string]bool{
 	"spatialanon/internal/shard":     true,
 	"spatialanon/internal/fault":     true,
 	"spatialanon/internal/pager":     true,
+	"spatialanon/internal/verify":    true,
 }
 
 // Analyzer flags the three nondeterminism sources. It carries no

@@ -32,9 +32,10 @@
 //     same granularity are O(1) after the first. The cache key is
 //     effectively (epoch, k1) and epoch advance is the invalidation:
 //     a new View starts cold, old epochs age out when their readers
-//     let go. Every release a reader can observe is audited (verify's
-//     k-anonymity and Lemma-1 k-boundness checks) once per epoch,
-//     before first use.
+//     let go. Every release a reader can observe is audited once per
+//     epoch, before first use: the base by verify.Release under
+//     KAnonymity{K: k}, to which Lemma 1 reduces for one release, and
+//     each derived granularity jointly with the base by verify.Releases.
 //
 //   - Graceful degradation and self-healing. Admission control bounds
 //     the submission queue (ErrOverloaded instead of unbounded

@@ -116,10 +116,11 @@ func (s *Server) publish() {
 }
 
 // ensureBase materializes and audits the base release once per view.
-// Every release a reader can observe passes the independent auditor —
-// k-anonymity of the scan output plus the Lemma-1 k-boundness check —
-// before it is returned; the audit runs once per published epoch, on
-// first access, and its verdict is memoized with the release.
+// Every release a reader can observe passes the independent auditor
+// before it is returned; with one release, Lemma 1 reduces to
+// verify.Release under KAnonymity{K: k}. The audit runs once per
+// published epoch, on first access, and its verdict is memoized with
+// the release.
 func (v *View) ensureBase() ([]Partition, error) {
 	v.baseOnce.Do(func() {
 		if v.n < v.baseK {
@@ -133,10 +134,6 @@ func (v *View) ensureBase() ([]Partition, error) {
 		}
 		if err := verify.Release(base, anonmodel.KAnonymity{K: v.baseK}); err != nil {
 			v.baseErr = fmt.Errorf("serve: epoch %d failed release audit: %w", v.epoch, err)
-			return
-		}
-		if err := verify.Releases([][]Partition{base}, v.baseK); err != nil {
-			v.baseErr = fmt.Errorf("serve: epoch %d failed k-boundness audit: %w", v.epoch, err)
 			return
 		}
 		v.base = base

@@ -146,43 +146,79 @@ func Release(ps []anonmodel.Partition, c anonmodel.Constraint) error {
 // sets of records sharing one partition in each release — must each
 // hold at least k records. This is what makes handing granularity k to
 // one consumer and 5k to another safe: their combined view is still a
-// k-anonymization.
+// k-anonymization. It is the repository's one Lemma-1 implementation;
+// with a single release the cells are its partitions, so Release under
+// KAnonymity{K: k} already proves the same property.
+//
+// Records are numbered densely in release-0 order and each later
+// release refines the running cell numbering by folding (cell,
+// partition) pairs, so the audit allocates a fixed handful of slices
+// and maps, never a key per record, and every reported witness is the
+// first offending record in release-0 order.
 func Releases(sets [][]anonmodel.Partition, k int) error {
 	if len(sets) == 0 {
 		return nil
 	}
-	// Record ID -> partition index per release.
-	assign := make(map[int64][]int)
-	for ri, rel := range sets {
-		for pi, p := range rel {
+	n := 0
+	for _, p := range sets[0] {
+		n += len(p.Records)
+	}
+	pos := make(map[int64]int32, n)
+	ids := make([]int64, 0, n)
+	cell := make([]int32, 0, n)
+	for pi, p := range sets[0] {
+		for _, r := range p.Records {
+			if _, dup := pos[r.ID]; dup {
+				return fmt.Errorf("verify: record %d in two partitions of release 0", r.ID)
+			}
+			pos[r.ID] = int32(len(ids))
+			ids = append(ids, r.ID)
+			cell = append(cell, int32(pi))
+		}
+	}
+	cells := len(sets[0])
+	part := make([]int32, n)
+	fold := make(map[uint64]int32, cells)
+	for ri := 1; ri < len(sets); ri++ {
+		for i := range part {
+			part[i] = -1
+		}
+		for pi, p := range sets[ri] {
 			for _, r := range p.Records {
-				cell, ok := assign[r.ID]
+				i, ok := pos[r.ID]
 				if !ok {
-					cell = make([]int, len(sets))
-					for i := range cell {
-						cell[i] = -1
-					}
-					assign[r.ID] = cell
+					return fmt.Errorf("verify: record %d of release %d missing from release 0", r.ID, ri)
 				}
-				if cell[ri] != -1 {
+				if part[i] != -1 {
 					return fmt.Errorf("verify: record %d in two partitions of release %d", r.ID, ri)
 				}
-				cell[ri] = pi
+				part[i] = int32(pi)
 			}
 		}
-	}
-	cells := make(map[string]int)
-	for id, cell := range assign {
-		for ri, pi := range cell {
-			if pi == -1 {
-				return fmt.Errorf("verify: record %d missing from release %d", id, ri)
+		clear(fold)
+		next := int32(0)
+		for i, c := range cell {
+			if part[i] == -1 {
+				return fmt.Errorf("verify: record %d missing from release %d", ids[i], ri)
 			}
+			key := uint64(uint32(c))<<32 | uint64(uint32(part[i]))
+			id, ok := fold[key]
+			if !ok {
+				id = next
+				next++
+				fold[key] = id
+			}
+			cell[i] = id
 		}
-		cells[fmt.Sprint(cell)]++
+		cells = int(next)
 	}
-	for key, n := range cells {
-		if n < k {
-			return fmt.Errorf("verify: intersection cell %s holds %d records, below k=%d", key, n, k)
+	size := make([]int32, cells)
+	for _, c := range cell {
+		size[c]++
+	}
+	for i, c := range cell {
+		if int(size[c]) < k {
+			return fmt.Errorf("verify: intersection cell of record %d holds %d records, below k=%d", ids[i], size[c], k)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -118,6 +119,195 @@ func TestReleasesKBoundness(t *testing.T) {
 	if err := Releases([][]anonmodel.Partition{fine, dup}, 3); err == nil {
 		t.Fatal("duplicate within release not flagged")
 	}
+	// Record 1 twice within the only release.
+	if err := Releases([][]anonmodel.Partition{dup}, 3); err == nil {
+		t.Fatal("duplicate within a single release not flagged")
+	}
+}
+
+// TestReleasesWitnessDeterministic pins the error witness: with two
+// violations of one kind in a family, Releases must name the first
+// offending record in release-0 order, identically on every call.
+func TestReleasesWitnessDeterministic(t *testing.T) {
+	rel := func(ps ...anonmodel.Partition) []anonmodel.Partition { return ps }
+	b := box(0, 20)
+	fine := rel(part(b, 9, 8, 7), part(b, 6, 5, 4), part(b, 3, 2, 1))
+	// Records 7 and 4 each land in a one-record intersection cell.
+	skewed := rel(part(b, 9, 8, 6, 5), part(b, 7, 4, 3, 2, 1))
+	// Records 5 and 2 are missing from the second release.
+	short := rel(part(b, 9, 8, 7, 6, 4, 3, 1))
+	cases := []struct {
+		name string
+		sets [][]anonmodel.Partition
+		want string
+	}{
+		{"two under-k cells", [][]anonmodel.Partition{fine, skewed}, "verify: intersection cell of record 7 holds 1 records, below k=2"},
+		{"two missing records", [][]anonmodel.Partition{fine, short}, "verify: record 5 missing from release 1"},
+	}
+	for _, c := range cases {
+		for i := 0; i < 50; i++ {
+			err := Releases(c.sets, 2)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("%s, call %d: got %v, want %q", c.name, i, err, c.want)
+			}
+		}
+	}
+}
+
+// releasesOracle is the original string-keyed Lemma-1 audit, kept as a
+// differential reference for Releases: one cell key per record, built
+// with fmt.Sprint over the record's partition index in every release.
+func releasesOracle(sets [][]anonmodel.Partition, k int) error {
+	if len(sets) == 0 {
+		return nil
+	}
+	assign := make(map[int64][]int)
+	for ri, rel := range sets {
+		for pi, p := range rel {
+			for _, r := range p.Records {
+				cell, ok := assign[r.ID]
+				if !ok {
+					cell = make([]int, len(sets))
+					for i := range cell {
+						cell[i] = -1
+					}
+					assign[r.ID] = cell
+				}
+				if cell[ri] != -1 {
+					return fmt.Errorf("verify: record %d in two partitions of release %d", r.ID, ri)
+				}
+				cell[ri] = pi
+			}
+		}
+	}
+	cells := make(map[string]int)
+	for id, cell := range assign {
+		for ri, pi := range cell {
+			if pi == -1 {
+				return fmt.Errorf("verify: record %d missing from release %d", id, ri)
+			}
+		}
+		cells[fmt.Sprint(cell)]++
+	}
+	for key, n := range cells {
+		if n < k {
+			return fmt.Errorf("verify: intersection cell %s holds %d records, below k=%d", key, n, k)
+		}
+	}
+	return nil
+}
+
+// fuzzFamily decodes a small release family from fuzz bytes. Release 0
+// chunks records 1..n into consecutive groups; each later release
+// either merges consecutive partitions of the previous one (nested,
+// the shape leaf scan produces) or chunks a rotated record order
+// (crossing). A per-release byte then duplicates, drops or adds one
+// record ID. Every partition's box is the tight box of its records.
+func fuzzFamily(data []byte) ([][]anonmodel.Partition, int) {
+	at := 0
+	next := func() int {
+		if at >= len(data) {
+			return 0
+		}
+		at++
+		return int(data[at-1])
+	}
+	n := 2 + next()%30
+	k := 1 + next()%4
+	nrel := 1 + next()%3
+	chunk := func(order []int64) [][]int64 {
+		var groups [][]int64
+		for len(order) > 0 {
+			size := min(1+next()%6, len(order))
+			groups = append(groups, order[:size:size])
+			order = order[size:]
+		}
+		return groups
+	}
+	order := make([]int64, n)
+	for i := range order {
+		order[i] = int64(i + 1)
+	}
+	groups := chunk(order)
+	sets := make([][]anonmodel.Partition, 0, nrel)
+	for ri := 0; ri < nrel; ri++ {
+		if ri > 0 {
+			if mode := next(); mode%2 == 0 {
+				var merged [][]int64
+				for i := 0; i < len(groups); {
+					j := min(i+1+next()%3, len(groups))
+					var g []int64
+					for _, h := range groups[i:j] {
+						g = append(g, h...)
+					}
+					merged = append(merged, g)
+					i = j
+				}
+				groups = merged
+			} else {
+				rot := 1 + mode%n
+				groups = chunk(append(append([]int64(nil), order[rot:]...), order[:rot]...))
+			}
+		}
+		rel := make([][]int64, len(groups))
+		for i, g := range groups {
+			rel[i] = append([]int64(nil), g...)
+		}
+		victim := next()
+		gi, vi := victim%len(rel), victim%n
+		switch next() % 5 {
+		case 1: // duplicate an ID into some partition
+			rel[gi] = append(rel[gi], int64(vi+1))
+		case 2: // drop the first ID of some partition
+			rel[gi] = rel[gi][1:]
+		case 3: // an ID no other release carries
+			rel[gi] = append(rel[gi], int64(n+1))
+		}
+		ps := make([]anonmodel.Partition, 0, len(rel))
+		for _, g := range rel {
+			if len(g) == 0 {
+				continue
+			}
+			b := attr.NewBox(1)
+			for _, id := range g {
+				b.Include([]float64{float64(id)})
+			}
+			ps = append(ps, part(b, g...))
+		}
+		sets = append(sets, ps)
+	}
+	return sets, k
+}
+
+// FuzzReleases checks Releases against the string-keyed oracle on
+// small families, and that on a single release it never rejects what
+// Release under KAnonymity{K: k} accepts — with one release the
+// intersection cells are the partitions, so the k-boundness audit adds
+// nothing to the release audit.
+func FuzzReleases(f *testing.F) {
+	// Byte layout: n-2, k-1, releases-1, release-0 chunk sizes; then per
+	// release a mode byte (not for release 0), merge counts or chunk
+	// sizes, a victim byte and a mutation byte.
+	f.Add([]byte{8, 2, 0, 4, 4, 0, 0})                                      // one release, safe
+	f.Add([]byte{8, 2, 0, 4, 4, 1, 1})                                      // one release, duplicated ID
+	f.Add([]byte{8, 2, 0, 4, 1, 2, 0, 0})                                   // one release, partition under k
+	f.Add([]byte{10, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0})       // nested pair, safe
+	f.Add([]byte{10, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 2, 2, 2, 2, 0, 0})    // crossing pair
+	f.Add([]byte{10, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 2})       // nested pair, dropped ID
+	f.Add([]byte{10, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 3})       // nested pair, extra ID
+	f.Add([]byte{18, 2, 2, 3, 3, 3, 3, 3, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0}) // three nested releases
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sets, k := fuzzFamily(data)
+		got, want := Releases(sets, k), releasesOracle(sets, k)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("Releases = %v, oracle = %v on %v at k=%d", got, want, sets, k)
+		}
+		if got != nil && len(sets) == 1 {
+			if err := Release(sets[0], anonmodel.KAnonymity{K: k}); err == nil {
+				t.Fatalf("Releases rejects a single release Release accepts: %v", got)
+			}
+		}
+	})
 }
 
 func TestRoutingAudit(t *testing.T) {

@@ -356,8 +356,9 @@ func (s *Store) applyOp(op Op) (bool, error) {
 // audit is the recovery gate: the independent auditor must re-prove
 // the tree's structural safety, and — once the store holds at least
 // BaseK records, the threshold below which no release exists — the
-// k-anonymity and Lemma-1 k-boundness of the base release. Only then
-// may the store publish.
+// k-anonymity of the base release (with one release, Lemma 1 reduces
+// to verify.Release under KAnonymity{K: k}). Only then may the store
+// publish.
 func (s *Store) audit() error {
 	if err := verify.Tree(s.tree, verify.TreeOptions{}); err != nil {
 		return fmt.Errorf("wal: recovered tree failed audit: %w", err)
@@ -370,9 +371,6 @@ func (s *Store) audit() error {
 		}
 		if err := verify.Release(base, anonmodel.KAnonymity{K: k}); err != nil {
 			return fmt.Errorf("wal: recovered release failed audit: %w", err)
-		}
-		if err := verify.Releases([][]anonmodel.Partition{base}, k); err != nil {
-			return fmt.Errorf("wal: recovered release failed k-boundness audit: %w", err)
 		}
 	}
 	s.audited = true
