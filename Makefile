@@ -82,7 +82,7 @@ crash:
 # against the per-op baseline at a short benchtime — catches gross
 # throughput regressions without a full bench sweep.
 throughput:
-	$(GO) test -run NONE -bench 'StorePerOpInsert|ServeGroupCommit|ServeReadsDuringWrites|ServePointQuery|ServeRangeQuery' -benchmem -benchtime 100ms ./internal/serve/
+	$(GO) test -run NONE -bench 'StorePerOpInsert|ServeGroupCommit|ServePublish|ServeReadsDuringWrites|ServePointQuery|ServeRangeQuery' -benchmem -benchtime 100ms ./internal/serve/
 
 # Zero-alloc smoke: the warm read path (sessions, sfc key path,
 # routing lookups) must report 0 allocs/op. These are regular tests
@@ -99,8 +99,9 @@ read-bench:
 	$(GO) run ./cmd/benchjson -in read_bench_output.txt -merge $(BENCH) -o $(BENCH)
 
 # Short fuzz passes over the dataset codecs, the WAL record decoder,
-# the routing and shard lookups, and the Lemma-1 audit against its
-# string-keyed oracle.
+# the routing and shard lookups, the Lemma-1 audit against its
+# string-keyed oracle, and copy-on-write leaf snapshots against a full
+# copy.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzReadBinary -fuzztime=30s ./internal/dataset/
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzLookupVsLinear -fuzztime=30s ./internal/routing/
 	$(GO) test -run=NONE -fuzz=FuzzShardRouting -fuzztime=30s ./internal/shard/
 	$(GO) test -run=NONE -fuzz=FuzzReleases -fuzztime=30s ./internal/verify/
+	$(GO) test -run=NONE -fuzz=FuzzSnapshotLeaves -fuzztime=30s ./internal/rplustree/
 
 # Full figure + ablation benchmark sweep, 3 runs per benchmark for
 # variance. The raw log lands in bench_output.txt; the parsed baseline

@@ -57,6 +57,7 @@ import (
 // path. Errors come from an attached loader's I/O charges during
 // reinsertion; the records are placed regardless.
 func (t *Tree) repairUnderflow(leaf *node) error {
+	t.restructured()
 	// Climb single-child chains: victim is the topmost node that can be
 	// spliced out leaving its parent with at least one child.
 	victim := leaf

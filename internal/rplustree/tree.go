@@ -153,11 +153,14 @@ type node struct {
 	// leaves unchanged since the last snapshot. Nodes minted by splits
 	// start at zero: a fresh node is never mistaken for a previously
 	// snapshotted one because its snapGen cannot match the live
-	// generation (see SnapshotLeaves).
+	// generation (see SnapshotLeaves). While dirty tracking is on, a
+	// leaf is on the tree's dirty list exactly when ver != snapVer, so
+	// the list costs no field here: node must stay within the 160-byte
+	// size class (TestNodeSize).
 	ver     uint64
-	snapGen uint64 // generation of the last snapshot that visited this leaf
-	snapVer uint64 // ver at that snapshot
-	snapIdx int    // this leaf's index in that snapshot's output
+	snapGen uint64 // generation of the last full-walk snapshot that emitted this leaf
+	snapVer uint64 // ver when this leaf was last snapshotted
+	snapIdx int    // this leaf's index in every snapshot of generation snapGen
 
 	children []*node
 	trie     *splitTrie
@@ -179,8 +182,15 @@ type Tree struct {
 	// tree, if any (see bufferload.go).
 	loader *BulkLoader
 
-	// snapGen numbers SnapshotLeaves calls (see cow.go).
-	snapGen uint64
+	// Copy-on-write snapshot state (see cow.go). snapGen numbers the
+	// full-walk snapshots; dirty lists the leaves mutated since the
+	// last snapshot and is complete while tracking is set; lastSnap
+	// and lastLen identify the last returned snapshot.
+	snapGen  uint64
+	dirty    []*node
+	tracking bool
+	lastSnap *LeafView
+	lastLen  int
 }
 
 // New creates an empty tree.
@@ -273,7 +283,7 @@ func routeChild(n *node, p []float64) *node {
 // runs, so a split error never loses it.
 func (t *Tree) insertIntoLeaf(leaf *node, rec attr.Record) error {
 	leaf.recs = append(leaf.recs, rec)
-	leaf.ver++
+	t.touch(leaf)
 	for n := leaf; n != nil; n = n.parent {
 		n.count++
 		n.mbr.Include(rec.QI)
@@ -292,7 +302,7 @@ func (t *Tree) bulkAppendLeaf(leaf *node, recs []attr.Record) error {
 		return nil
 	}
 	leaf.recs = append(leaf.recs, recs...)
-	leaf.ver++
+	t.touch(leaf)
 	box := attr.NewBox(t.cfg.Schema.Dims())
 	for _, r := range recs {
 		box.Include(r.QI)
@@ -408,6 +418,7 @@ func splitRegion(region attr.Box, axis int, value float64) (left, right attr.Box
 // comes from an attached loader's I/O charges, after the structural
 // change is already complete.
 func (t *Tree) replaceWithPair(old, left, right *node, axis int, value float64) error {
+	t.restructured()
 	parent := old.parent
 	if parent == nil {
 		// Root split: the tree grows a level.
@@ -544,7 +555,7 @@ func (t *Tree) Delete(id int64, qi []float64) (bool, error) {
 		return false, nil
 	}
 	leaf.recs = append(leaf.recs[:idx], leaf.recs[idx+1:]...)
-	leaf.ver++
+	t.touch(leaf)
 	// Recompute the leaf MBR, then tighten ancestors from their
 	// children's MBRs.
 	leaf.mbr = attr.NewBox(len(leaf.region))

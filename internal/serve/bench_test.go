@@ -83,6 +83,33 @@ func BenchmarkServeGroupCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkServePublish: one 1-op batch per iteration through the
+// committer — WAL append, apply and the publish of a new epoch — on a
+// 20k-record server. Iterations alternate inserting a fresh record
+// and deleting it again, so the store stays at 20k records and most
+// batches leave the leaf layout unchanged (the no-walk publish path).
+// Commit plus publish cost, not fsync, is what is measured (NoSync).
+func BenchmarkServePublish(b *testing.B) {
+	s, cleanup := benchServer(b, 20000)
+	defer cleanup()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := benchRecord(int64(1<<30 + i/2))
+		if i%2 == 0 {
+			if err := s.Insert(r); err != nil {
+				b.Fatal(err)
+			}
+		} else if found, err := s.Delete(r.ID, r.QI); err != nil || !found {
+			b.Fatalf("delete %d: found=%v err=%v", r.ID, found, err)
+		}
+	}
+	b.StopTimer()
+	if e := s.View().Epoch(); e < uint64(b.N) {
+		b.Fatalf("%d commits published only %d epochs", b.N, e)
+	}
+}
+
 // benchServer preloads a store and wraps it in a server for read-path
 // benchmarks (NoSync: reads are what is measured).
 func benchServer(b *testing.B, n int) (*Server, func()) {

@@ -20,7 +20,8 @@
 //     headers, not the tree, and only for the leaves the batch
 //     touched (rplustree.SnapshotLeaves); unchanged leaves are shared
 //     with the previous epoch, so the publish cost is proportional to
-//     the batch, not the store.
+//     the batch plus one header copy (a full leaf walk after a batch
+//     that split or repaired a leaf), not the store.
 //     Readers load the current View through one atomic pointer and
 //     run releases, range counts and query evaluation against it with
 //     no lock shared with the writer; a reader holding an old epoch

@@ -9,6 +9,7 @@ import (
 	"spatialanon/internal/core"
 	"spatialanon/internal/query"
 	"spatialanon/internal/routing"
+	"spatialanon/internal/rplustree"
 	"spatialanon/internal/verify"
 )
 
@@ -17,13 +18,15 @@ import (
 type Partition = anonmodel.Partition
 
 // View is one published epoch: an immutable, consistent snapshot of
-// the store's state. The committer builds it by copying the leaf
-// summary — leaf boxes and record headers, NOT the tree — so the
-// publish cost on the write path is one sequential memcpy; the
-// audited base release and every derived granularity are computed
-// lazily by the first reader that asks and memoized for the view's
-// lifetime. Everything a View returns is owned by the View, so any
-// number of readers may use it concurrently with ongoing mutation.
+// the store's state. The committer builds it from a copy-on-write
+// snapshot of the leaf summary — leaf boxes and records, NOT the
+// tree — so the publish cost on the write path is the copies of the
+// leaves the batch changed plus one header copy, and a full leaf walk
+// only after a split or an underflow repair; the audited base release
+// and every derived granularity are computed lazily by the first
+// reader that asks and memoized for the view's lifetime. Everything a
+// View returns is owned by the View, so any number of readers may use
+// it concurrently with ongoing mutation.
 // Returned partition slices are shared between callers and MUST be
 // treated as read-only (same contract as rplustree.LeafView).
 //
@@ -35,11 +38,12 @@ type View struct {
 	n       int
 	workers int
 
-	// leaves is the snapshotted leaf summary: one born-compacted
-	// partition per leaf, in trie order — the input of every
-	// derivation below. Unchanged leaves share storage with the
-	// previous epoch's View (copy-on-write).
-	leaves []Partition
+	// leaves is the snapshotted leaf summary, in trie order — the
+	// input of every derivation below. Unchanged leaves share storage
+	// with the previous epoch's View (copy-on-write). The partition
+	// headers over it are built only for epochs a reader derives from
+	// (ensureBase), not on the write path.
+	leaves []rplustree.LeafView
 
 	baseOnce sync.Once
 	base     []Partition
@@ -92,22 +96,19 @@ type accelEntry struct {
 // copy-on-write at leaf granularity (rplustree.SnapshotLeaves): only
 // leaves touched since the previous publish are copied, the rest are
 // shared with the previous epoch's View, so the write path pays
-// O(leaves + batch), not O(n), per publish.
+// O(batch) plus one header copy per publish, and O(leaves + batch)
+// after a batch that split or repaired a leaf — never O(n).
 func (s *Server) publish() {
 	t := s.st.Tree()
 	snap := t.SnapshotLeaves(s.prevSnap)
 	s.prevSnap = snap
-	parts := make([]Partition, len(snap))
-	for i, l := range snap {
-		parts[i] = Partition{Box: l.MBR, Records: l.Records}
-	}
 	v := &View{
 		epoch:   s.epoch + 1,
 		seq:     s.st.Seq(),
 		baseK:   s.baseK,
 		n:       t.Len(),
 		workers: s.opts.Parallelism,
-		leaves:  parts,
+		leaves:  snap,
 		cache:   make(map[int]*releaseEntry),
 		accel:   make(map[int]*accelEntry),
 	}
@@ -127,7 +128,11 @@ func (v *View) ensureBase() ([]Partition, error) {
 			v.baseErr = fmt.Errorf("serve: store holds %d records, below base k %d", v.n, v.baseK)
 			return
 		}
-		base, err := core.LeafScanP(v.leaves, anonmodel.KAnonymity{K: v.baseK}, v.workers)
+		parts := make([]Partition, len(v.leaves))
+		for i, l := range v.leaves {
+			parts[i] = Partition{Box: l.MBR, Records: l.Records}
+		}
+		base, err := core.LeafScanP(parts, anonmodel.KAnonymity{K: v.baseK}, v.workers)
 		if err != nil {
 			v.baseErr = fmt.Errorf("serve: epoch %d base release: %w", v.epoch, err)
 			return
@@ -269,8 +274,8 @@ func (v *View) Estimator(k1 int) (*query.Estimator, error) {
 func (v *View) Records() []attr.Record {
 	v.recs.once.Do(func() {
 		recs := make([]attr.Record, 0, v.n)
-		for _, p := range v.leaves {
-			recs = append(recs, p.Records...)
+		for _, l := range v.leaves {
+			recs = append(recs, l.Records...)
 		}
 		v.recs.recs = recs
 	})
